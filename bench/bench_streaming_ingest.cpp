@@ -3,10 +3,10 @@
 //
 // The paper's middleware starts detecting the moment events arrive (§4.1);
 // the pre-streaming repository had to materialize the whole store first. This
-// bench measures the end-to-end cost of both modes on the real threaded
-// runtime (wall time from "client starts sending" to "all complex events
-// emitted") for k ∈ {1,2,4,8} operator instances, and emits one JSON line per
-// row next to the table for scripts.
+// bench measures the end-to-end cost of both modes on SpectreRuntime (wall
+// time from "client starts sending" to "all complex events emitted") for
+// k ∈ {1,2,4,8} operator instances, and emits one JSON line per row next to
+// the table for scripts.
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -81,7 +81,7 @@ int main() {
         const obs::ShardPtr obs_shard = obs_registry.make_shard();
 
         std::vector<double> batch_eps, stream_eps, decode_secs, feed_secs;
-        std::vector<double> splitter_sleeps, instance_sleeps, wasted_events;
+        std::vector<double> wasted_events;
         for (const auto seed : seeds) {
             data::NyseSynthConfig gen;
             gen.events = events_n;
@@ -116,8 +116,6 @@ int main() {
                 const auto rr = rt.run(src);
                 stream_eps.push_back(static_cast<double>(events.size()) / seconds_since(t0));
                 feed_secs.push_back(rr.feed_seconds);
-                splitter_sleeps.push_back(static_cast<double>(rr.splitter_idle_sleeps));
-                instance_sleeps.push_back(static_cast<double>(rr.instance_idle_sleeps));
                 wasted_events.push_back(
                     static_cast<double>(rr.sched.speculation_wasted_events));
             }
@@ -130,8 +128,7 @@ int main() {
         const double feed_med = util::percentile(feed_secs, 50);
         // Feeder stall factor: how much longer the feeder took next to a
         // running engine than decoding alone. ≈1 = detection overlapped for
-        // free; ≫1 = detection spin starved the feeder (the pre-fix failure
-        // mode at k ≥ 4 on few cores, DESIGN.md §6).
+        // free; ≫1 = detection starved the feeder of CPU (DESIGN.md §6).
         const double feed_stall = decode_med > 0 ? feed_med / decode_med : 0.0;
 
         table.row({"materialize_then_process", std::to_string(k),
@@ -155,10 +152,6 @@ int main() {
                                    .field("overlap_gain", gain)
                                    .field("feed_seconds_p50", feed_med)
                                    .field("feed_stall", feed_stall)
-                                   .field("splitter_idle_sleeps_p50",
-                                          util::percentile(splitter_sleeps, 50))
-                                   .field("instance_idle_sleeps_p50",
-                                          util::percentile(instance_sleeps, 50))
                                    .field("speculation_wasted_events_p50",
                                           util::percentile(wasted_events, 50))
                                    // Registry histogram (§12), nanoseconds; 0
@@ -179,7 +172,7 @@ int main() {
         "capacity); the streaming mode's win there is latency, not throughput:\n"
         "early windows retire while the tail of the stream is still arriving.\n"
         "feed stall ≈ 1.0x means the feeder decoded at full speed next to the\n"
-        "engine; values well above 1 with few idle sleeps would mean detection\n"
-        "spin is starving the feeder again (DESIGN.md §6 contention fix).\n");
+        "engine; values well above 1 would mean detection is starving the\n"
+        "feeder of CPU (DESIGN.md §6).\n");
     return 0;
 }

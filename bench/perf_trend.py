@@ -42,24 +42,22 @@ METRICS = ["eps_compiled", "eps_p50", "eps"]
 EXTRA_METRICS = ["overlap_gain"]
 
 # Everything measured rather than configured: excluded from row identity.
+# Percentile fields (MEASURED_SUFFIXES) are measured by construction and
+# need no entry, which also keeps fields a bench no longer emits (e.g. the
+# E-stream idle-sleep counters of older records) out of the identity.
+MEASURED_SUFFIXES = ("_p50", "_p99")
 NON_IDENTITY = {
-    "eps", "eps_p50", "eps_tree", "eps_compiled", "speedup", "speedup_vs_s1",
-    "overlap_gain", "feed_seconds_p50", "feed_stall", "decode_seconds_p50",
-    "splitter_idle_sleeps_p50", "instance_idle_sleeps_p50",
-    "speculation_wasted_events_p50",
-    "first_result_ms_p50", "results", "quanta", "parks_input", "parks_egress",
+    "eps", "eps_tree", "eps_compiled", "speedup", "speedup_vs_s1",
+    "overlap_gain", "feed_stall",
+    "results", "quanta", "parks_input", "parks_egress",
     "sched_steps", "sched_cycles", "sched_cycles_skipped", "sched_batches",
-    "sched_batch_events", "sched_ready_depth_max", "sched_ready_depth_p50",
+    "sched_batch_events", "sched_ready_depth_max",
     "sched_instances_retired", "sched_instances_cancelled",
     "sched_wasted_events",
     "parity_ok", "parity", "scale", "events", "completions", "avg_active",
     "keys", "events_per_session", "sessions_per_worker",
-    # Registry-sourced latency histograms (DESIGN.md §12). Note "obs" is NOT
-    # here: the obs=off overhead rows must key separately from the
-    # (default, instrumented) committed rows.
-    "result_latency_ns_p50", "result_latency_ns_p99", "first_result_ns_p50",
-    "pool_queue_wait_ns_p50", "quantum_ns_p50", "egress_stall_ns_p99",
-    "splitter_cycle_ns_p50",
+    # Note "obs" is NOT here: the obs=off overhead rows must key separately
+    # from the (default, instrumented) committed rows.
     # Elastic partitioning (DESIGN.md §13): migration ledger + balance, all
     # measured — the E-shard-skew rows key by mode/shards only.
     "steals", "keys_moved", "reshards", "hot_share",
@@ -79,7 +77,8 @@ SHOW_RUNS = 8      # history columns rendered
 
 
 def identity(row):
-    return tuple(sorted((k, v) for k, v in row.items() if k not in NON_IDENTITY))
+    return tuple(sorted((k, v) for k, v in row.items()
+                        if k not in NON_IDENTITY and not k.endswith(MEASURED_SUFFIXES)))
 
 
 def load(path):

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     event::EventStore store;
     data::generate_nyse(vocab, cfg, store);
 
-    // 3. Run the speculative parallel engine (real threads).
+    // 3. Run the speculative engine (k speculation slots, §11 step scheduler).
     const auto compiled = detect::CompiledQuery::compile(query);
     core::RuntimeConfig rt_cfg;
     rt_cfg.splitter.instances = instances;

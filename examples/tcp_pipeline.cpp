@@ -1,9 +1,9 @@
 // End-to-end pipeline in the paper's deployment shape (§4.1): a client
 // thread streams framed quote events over a loopback TCP connection while the
-// engine side runs the parallel SPECTRE runtime *concurrently with
-// ingestion* — windows open as their start events arrive and detection
-// advances along the growing store frontier (ingest-while-detect, DESIGN.md
-// §6).
+// engine side runs the SPECTRE runtime *concurrently with ingestion* — a
+// feeder thread decodes into the store, windows open as their start events
+// arrive and detection advances along the growing store frontier
+// (ingest-while-detect, DESIGN.md §6).
 #include <cstdio>
 #include <memory>
 #include <thread>

@@ -94,6 +94,19 @@ void CepServer::stop() {
     stopping_.store(true, std::memory_order_release);
     wake();
     reactor_.join();
+    // One last reactor pass, on this thread: a client that died just before
+    // the stop may still have its final bytes and hang-up queued, unread.
+    // Reading them lets that session settle its own outcome (a mid-frame
+    // death counts as failed) instead of being aborted below as if it had
+    // been healthy. The wake makes the wait return at once; the event array
+    // holds every registered fd, so one wait reports all that are ready.
+    wake();
+    std::vector<net::IoEvent> ready(sessions_.size() + admin_conns_.size() + 3);
+    const int n = io_->wait(ready.data(), static_cast<int>(ready.size()));
+    for (int i = 0; i < n; ++i) {
+        const std::uint64_t tag = ready[static_cast<std::size_t>(i)].tag;
+        if (sessions_.count(tag)) handle_readable(tag);
+    }
     // Reactor is gone; pool workers may still be running quanta. Abort every
     // session first: poisons egress (a parked-on-egress task's wait resolves
     // to "nothing left to send"), closes ingestion, and notifies the task so

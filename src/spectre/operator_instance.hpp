@@ -11,10 +11,12 @@
 // trailing window whose extent reaches past a completed input finishes at
 // end-of-stream.
 //
-// The class is runtime-agnostic: the threaded runtime calls run_batch() from
-// a dedicated thread, the simulated runtime calls it inline under a virtual
-// clock. All cross-thread communication goes through the assignment slot
-// (mutex), the store's frontier, and the splitter's update queue.
+// The class is runtime-agnostic: the step scheduler (runtime.hpp) calls
+// run_batch() inline when the instance is ready, the simulated runtime calls
+// it inline under a virtual clock. The only concurrent writer today is the
+// store's feeder; the assignment slot (mutex) and the splitter's update queue
+// stay synchronised so that a multi-worker executor can run batches on
+// several threads (ROADMAP).
 #pragma once
 
 #include <atomic>

@@ -1,8 +1,6 @@
 #include "spectre/runtime.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <thread>
 
 #include "util/assert.hpp"
@@ -22,70 +20,6 @@ SpectreRuntime::SpectreRuntime(event::EventStore* store, const detect::CompiledQ
     : SpectreRuntime(static_cast<const event::EventStore*>(store), cq, config,
                      std::move(model)) {
     mutable_store_ = store;
-}
-
-RunResult SpectreRuntime::run_threads() {
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> instance_idle_sleeps{0};
-    std::uint64_t splitter_idle_sleeps = 0;
-    std::vector<std::thread> workers;
-    workers.reserve(splitter_.instances().size());
-    const auto backoff = std::chrono::microseconds(config_.idle_backoff_us);
-
-    const auto t0 = std::chrono::steady_clock::now();
-
-    for (auto& inst : splitter_.instances()) {
-        workers.emplace_back([&, inst = inst.get(), batch = config_.batch_events] {
-            int idle_streak = 0;
-            while (!stop.load(std::memory_order_acquire)) {
-                if (inst->run_batch(batch).advanced == 0) {
-                    // Idle: no assignment, version busy elsewhere, or stalled
-                    // at the ingestion frontier. While the input is still
-                    // arriving, a persistent spinner would steal the CPU the
-                    // feeder's decode needs (the §6 contention fix) — sleep;
-                    // otherwise just yield as before.
-                    if (config_.idle_backoff_us > 0 && ++idle_streak >= 2 &&
-                        !splitter_.input_complete()) {
-                        instance_idle_sleeps.fetch_add(1, std::memory_order_relaxed);
-                        std::this_thread::sleep_for(backoff);
-                    } else {
-                        std::this_thread::yield();
-                    }
-                } else {
-                    idle_streak = 0;
-                }
-            }
-        });
-    }
-
-    while (splitter_.run_cycle()) {
-        // Splitter runs its maintenance/scheduling loop continuously, as in
-        // the paper's deployment (it owns a dedicated core there). On shared
-        // cores a no-progress cycle during live ingestion backs off instead
-        // of spinning against the feeder (§6).
-        if (config_.idle_backoff_us > 0 && !splitter_.last_cycle_progressed() &&
-            !splitter_.input_complete()) {
-            ++splitter_idle_sleeps;
-            std::this_thread::sleep_for(backoff);
-        }
-    }
-    stop.store(true, std::memory_order_release);
-    for (auto& w : workers) w.join();
-
-    const auto t1 = std::chrono::steady_clock::now();
-
-    RunResult result;
-    result.output = splitter_.take_output();
-    result.metrics = splitter_.metrics();
-    for (auto& inst : splitter_.instances()) result.instance_stats.push_back(inst->stats());
-    result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-    result.throughput_eps =
-        result.wall_seconds > 0 ? static_cast<double>(store_->size()) / result.wall_seconds
-                                : 0.0;
-    result.splitter_idle_sleeps = splitter_idle_sleeps;
-    result.instance_idle_sleeps = instance_idle_sleeps.load(std::memory_order_relaxed);
-    result.sched = sched_stats();
-    return result;
 }
 
 SpectreRuntime::StepProgress SpectreRuntime::step() {
@@ -177,9 +111,26 @@ SchedStats SpectreRuntime::sched_stats() const {
     return s;
 }
 
+RunResult SpectreRuntime::collect(std::chrono::steady_clock::time_point t0) {
+    RunResult result;
+    result.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    result.output = splitter_.take_output();
+    result.metrics = splitter_.metrics();
+    for (auto& inst : splitter_.instances()) result.instance_stats.push_back(inst->stats());
+    result.throughput_eps =
+        result.wall_seconds > 0 ? static_cast<double>(store_->size()) / result.wall_seconds
+                                : 0.0;
+    result.sched = sched_stats();
+    return result;
+}
+
 RunResult SpectreRuntime::run() {
     splitter_.mark_input_complete();
-    return run_threads();
+    const auto t0 = std::chrono::steady_clock::now();
+    while (!step().done) {
+    }
+    return collect(t0);
 }
 
 RunResult SpectreRuntime::run(event::EventStream& live) {
@@ -194,7 +145,10 @@ RunResult SpectreRuntime::run(event::EventStream& live) {
     // frontier that never completes — and then surface to the caller.
     std::exception_ptr feed_error;
     double feed_seconds = 0.0;
-    std::thread feeder([this, &live, &feed_error, &feed_seconds] {
+    const auto t0 = std::chrono::steady_clock::now();
+    // jthread: should a step throw, unwinding still joins the feeder (which
+    // finishes once the source ends) before the state it writes goes away.
+    std::jthread feeder([this, &live, &feed_error, &feed_seconds] {
         const auto f0 = std::chrono::steady_clock::now();
         try {
             while (auto e = live.next()) mutable_store_->append(*e);
@@ -205,9 +159,20 @@ RunResult SpectreRuntime::run(event::EventStream& live) {
         feed_seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - f0).count();
     });
-    RunResult result = run_threads();
+    // Detection steps on this thread. A quiescent step is a fixed point for
+    // the frontier it saw, so nothing can change until the feeder appends or
+    // closes: yield the core to it until then. The frontier is read before
+    // the step, so an arrival that lands mid-step is never missed.
+    for (;;) {
+        const std::size_t frontier = store_->size();
+        const auto p = step();
+        if (p.done) break;
+        if (p.quiescent)
+            while (store_->size() == frontier && !store_->closed()) std::this_thread::yield();
+    }
     feeder.join();
     if (feed_error) std::rethrow_exception(feed_error);
+    RunResult result = collect(t0);
     result.feed_seconds = feed_seconds;
     return result;
 }

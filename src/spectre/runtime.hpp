@@ -1,26 +1,31 @@
-// SpectreRuntime: the real-thread deployment of SPECTRE (§2.2: one thread
-// pinned to the splitter, k threads pinned to operator instances, all over
-// shared memory).
+// SpectreRuntime: the SPECTRE engine (§2.2) — a splitter and k operator
+// instances over a shared event store — driven by one executor, the §11
+// dependency-graph step scheduler.
 //
-// Three entry points:
-//   * run() — batch replay over an already-materialized store;
+// Three entry points, all on that one executor:
+//   * step() — one scheduling quantum, inline on the calling thread
+//     (DESIGN.md §9/§11): the splitter's maintenance/scheduling cycle when its
+//     dirty predicate fires, then bounded batches for ready instances until
+//     the quantum budget is spent or the dependency graph reaches a fixed
+//     point. A worker pool multiplexing many sessions calls step() in quanta,
+//     appending arrivals to the store itself between calls, and parks the
+//     session when a step reports no progress on an open store;
+//   * run() — batch replay over an already-materialized store: step() until
+//     done;
 //   * run(EventStream&) — ingest-while-detect (§4.1's deployment shape): a
-//     feeder thread drains the stream into the store while the splitter and
-//     operator instances are already detecting over the growing frontier;
-//     terminates at end-of-stream + quiescence;
-//   * step() — cooperative single-thread driving (DESIGN.md §9): no threads
-//     are spawned; each call runs one splitter maintenance/scheduling cycle
-//     plus one bounded batch on every operator instance, inline. A worker
-//     pool multiplexing many sessions calls step() in quanta, appending
-//     arrivals to the store itself between calls, and parks the session when
-//     a step reports no progress on an open store.
+//     feeder thread drains the stream into the store while the calling
+//     thread steps over the growing frontier, yielding while a step is
+//     quiescent on an open store; terminates at end-of-stream + quiescence.
+//     The feeder is the only thread the runtime ever starts.
 //
-// The blocking entry points return the emitted complex events; all three are
-// byte-identical, including order, to the sequential engine's output (the
-// framework's correctness goal, §2.3) — the interleaving of step() calls and
-// appends never changes the output.
+// The k instances are k logical speculation slots, not k threads (DESIGN.md
+// §4 substitution 1). All three entry points are byte-identical, including
+// order, to the sequential engine's output (the framework's correctness goal,
+// §2.3) — the interleaving of step() calls and appends never changes the
+// output (tests/test_sched_differential.cpp checks every entry point).
 #pragma once
 
+#include <chrono>
 #include <memory>
 
 #include "obs/metrics.hpp"
@@ -40,18 +45,10 @@ struct RuntimeConfig {
     // co-scheduled sessions are never starved by one speculative session.
     // 0 falls back to batch_events.
     std::size_t quantum_budget = 1024;
-    // Streaming-mode contention fix (DESIGN.md §6): while the input is still
-    // arriving, an idle spinner (a splitter cycle that made no progress, an
-    // instance batch that processed no events) sleeps this long instead of
-    // burning the core the feeder thread needs for decode. 0 restores the
-    // pure spin. Batch replay (input complete up front) never backs off.
-    std::size_t idle_backoff_us = 50;
 };
 
 // Observability of the ready-instance scheduler (DESIGN.md §11): what the
-// dependency-graph step loop actually did. Populated by step()-driven runs;
-// threaded runs fill only the speculation-waste field (their instances spin
-// freely, there is no ready queue to measure).
+// dependency-graph step loop actually did. Every entry point fills it.
 struct SchedStats {
     std::uint64_t steps = 0;           // step() calls
     std::uint64_t cycles = 0;          // splitter cycles the dirty gate ran
@@ -94,14 +91,10 @@ struct RunResult {
     double wall_seconds = 0.0;
     double throughput_eps = 0.0;  // source events per (real) second
     // Feeder-stall observability (DESIGN.md §6): how long the feeder thread
-    // needed to drain the source (0 in batch mode — there is no feeder), and
-    // how often the detection threads backed off while starved for arrivals.
-    // feed_seconds ≈ wall_seconds with many idle sleeps = the detection side
-    // was waiting on ingest; feed_seconds ≫ the materialize-mode decode time
-    // with few sleeps = the feeder was starved of CPU by detection spin.
+    // needed to drain the source (0 in batch mode — there is no feeder).
+    // feed_seconds ≫ the materialize-mode decode time = the feeder was
+    // starved of CPU by detection.
     double feed_seconds = 0.0;
-    std::uint64_t splitter_idle_sleeps = 0;
-    std::uint64_t instance_idle_sleeps = 0;
     SchedStats sched;  // ready-instance scheduler observability
 };
 
@@ -118,7 +111,7 @@ public:
 
     // Streaming result egress (DESIGN.md §8): emit each complex event the
     // moment its window retires instead of collecting into RunResult.output.
-    // The sink runs on the splitter thread, in window order — byte-identical
+    // The sink runs on the stepping thread, in window order — byte-identical
     // to the collect-all vector. Install before run().
     void set_result_sink(event::ResultSink sink) {
         splitter_.set_result_sink(std::move(sink));
@@ -150,12 +143,11 @@ public:
     // tree changed, then drains the ready queue in bounded batches until the
     // quantum budget (config.quantum_budget) is spent or the graph reaches a
     // fixed point. Input completeness is derived from EventStore::close() (or
-    // mark via splitter). Callers must not mix step() with the blocking
-    // run()/run(EventStream&) entry points.
+    // marked by run()). The blocking entry points loop on this; callers must
+    // not call step() themselves around them.
     StepProgress step();
 
-    // Scheduler observability (current totals; valid during and after a
-    // step()-driven run — threaded runs only fill the speculation waste).
+    // Scheduler observability (current totals; valid during and after a run).
     SchedStats sched_stats() const;
 
     // Live splitter metrics (same caveats as sched_stats: read from the
@@ -164,13 +156,15 @@ public:
         return splitter_.metrics();
     }
 
-    // Metrics plane (DESIGN.md §12): when bound, step() records each splitter
-    // cycle's duration into the shard's splitter_cycle_ns histogram. The
-    // shard must outlive the runtime; nullptr (the default) costs one branch.
+    // Metrics plane (DESIGN.md §12): when bound, every entry point records
+    // each splitter cycle's duration into the shard's splitter_cycle_ns
+    // histogram. The shard must outlive the runtime; nullptr (the default)
+    // costs one branch.
     void bind_obs(obs::Shard* shard) noexcept { obs_ = shard; }
 
 private:
-    RunResult run_threads();
+    // Assembles a finished run's result; wall time is measured from t0.
+    RunResult collect(std::chrono::steady_clock::time_point t0);
 
     const event::EventStore* store_;
     event::EventStore* mutable_store_ = nullptr;  // set by the streaming ctor

@@ -6,12 +6,16 @@
 // every query shape, stream, instance count and *schedule* — i.e. however
 // step() calls interleave with store appends, whatever the quantum budget —
 // the output must stay byte-identical to the sequential engine (§2.3). The
-// randomized suite below perturbs exactly those axes. The graph-invariant
+// randomized suite below perturbs exactly those axes, and drives every combo
+// through all three entry points: hand-driven step(), batch run(), and
+// run(EventStream&) fed by a producer thread that pauses at random. The
+// graph-invariant
 // suite drives InstanceScheduler directly: no ready instance ever waits, a
 // waiting instance always holds exactly one sentinel edge, retirement frees
 // every node, and re-classifying a queued instance pulls it out of the queue.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,12 +111,7 @@ query::Query make_shape(TestEnv& env, int shape) {
 // runs between chunks, and the quantum budget itself is drawn per combo.
 // Safeguard: a run that exceeds a generous step bound fails loudly instead
 // of hanging the suite (the graph's termination argument, §11).
-std::vector<event::ComplexEvent> run_stepped(const detect::CompiledQuery& cq,
-                                             const std::vector<event::Event>& events,
-                                             int instances, std::uint64_t schedule_seed,
-                                             const std::string& label) {
-    util::Rng rng(schedule_seed);
-    event::EventStore store;
+core::RuntimeConfig random_config(int instances, util::Rng& rng) {
     core::RuntimeConfig cfg;
     cfg.splitter.instances = instances;
     cfg.splitter.instance.consistency_check_freq = 8;
@@ -120,7 +119,16 @@ std::vector<event::ComplexEvent> run_stepped(const detect::CompiledQuery& cq,
     static const std::size_t kBudgets[] = {7, 16, 64, 1024};
     cfg.batch_events = kBatches[rng.uniform_int(0, 2)];
     cfg.quantum_budget = kBudgets[rng.uniform_int(0, 3)];
-    core::SpectreRuntime rt(&store, &cq, cfg, make_markov(cq));
+    return cfg;
+}
+
+std::vector<event::ComplexEvent> run_stepped(const detect::CompiledQuery& cq,
+                                             const std::vector<event::Event>& events,
+                                             int instances, std::uint64_t schedule_seed,
+                                             const std::string& label) {
+    util::Rng rng(schedule_seed);
+    event::EventStore store;
+    core::SpectreRuntime rt(&store, &cq, random_config(instances, rng), make_markov(cq));
 
     std::vector<event::ComplexEvent> out;
     rt.set_result_sink([&out](event::ComplexEvent&& ce) { out.push_back(std::move(ce)); });
@@ -160,11 +168,56 @@ std::vector<event::ComplexEvent> run_stepped(const detect::CompiledQuery& cq,
     return out;
 }
 
+// Batch entry point: run() over the materialized store.
+std::vector<event::ComplexEvent> run_batch(const detect::CompiledQuery& cq,
+                                           const std::vector<event::Event>& events,
+                                           int instances, std::uint64_t schedule_seed) {
+    util::Rng rng(schedule_seed);
+    event::EventStore store;
+    for (const auto& e : events) store.append(e);
+    core::SpectreRuntime rt(&store, &cq, random_config(instances, rng), make_markov(cq));
+    return rt.run().output;
+}
+
+// Streaming entry point: run(EventStream&) over a LiveStream whose producer
+// thread pushes random-sized chunks and pauses at random between them (a
+// yield or a short sleep), so the stepping thread keeps catching up with the
+// frontier and waiting on it.
+std::vector<event::ComplexEvent> run_live(const detect::CompiledQuery& cq,
+                                          const std::vector<event::Event>& events,
+                                          int instances, std::uint64_t schedule_seed) {
+    util::Rng rng(schedule_seed);
+    const core::RuntimeConfig cfg = random_config(instances, rng);
+    event::LiveStream live;
+    std::thread producer([&events, &live, prng = rng.split()]() mutable {
+        std::size_t fed = 0;
+        while (fed < events.size()) {
+            const std::size_t chunk = std::min<std::size_t>(
+                static_cast<std::size_t>(prng.uniform_int(1, 24)), events.size() - fed);
+            for (std::size_t i = 0; i < chunk; ++i) live.push(events[fed++]);
+            switch (prng.uniform_int(0, 2)) {
+                case 0: break;
+                case 1: std::this_thread::yield(); break;
+                default:
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(prng.uniform_int(1, 300)));
+            }
+        }
+        live.close();
+    });
+    event::EventStore store;
+    core::SpectreRuntime rt(&store, &cq, cfg, make_markov(cq));
+    auto out = rt.run(live).output;
+    producer.join();
+    return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Randomized differential: 60 (shape, stream, k, schedule) combos, each
-// byte-identical to the sequential engine.
+// driven through step(), run() and run(EventStream&), each byte-identical to
+// the sequential engine.
 // ---------------------------------------------------------------------------
 
 TEST(SchedDifferential, RandomizedStepSchedulesMatchSequential) {
@@ -186,8 +239,16 @@ TEST(SchedDifferential, RandomizedStepSchedulesMatchSequential) {
                 const std::string label = "combo " + std::to_string(combo) + " (shape=" +
                                           std::to_string(shape) + " k=" + std::to_string(k) +
                                           " rep=" + std::to_string(rep) + ")";
-                const auto actual = run_stepped(cq, events, k, seed * 7919, label);
-                expect_same_output(expected.complex_events, actual, label);
+                const std::uint64_t schedule_seed = seed * 7919;
+                expect_same_output(expected.complex_events,
+                                   run_stepped(cq, events, k, schedule_seed, label),
+                                   label + " step()");
+                expect_same_output(expected.complex_events,
+                                   run_batch(cq, events, k, schedule_seed),
+                                   label + " run()");
+                expect_same_output(expected.complex_events,
+                                   run_live(cq, events, k, schedule_seed),
+                                   label + " run(EventStream&)");
             }
         }
     }

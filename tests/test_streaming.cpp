@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "data/nyse_synth.hpp"
@@ -190,6 +191,52 @@ TEST(StreamingSpectre, EmptyLiveStream) {
     core::SpectreRuntime rt(&store, &cq, cfg, make_markov(cq));
     EXPECT_TRUE(rt.run(live).output.empty());
     EXPECT_TRUE(store.closed());
+}
+
+namespace {
+
+// Source that fails after `good` events, like a TCP connection reset.
+class FailingStream final : public event::EventStream {
+public:
+    FailingStream(const std::vector<event::Event>& events, std::size_t good)
+        : events_(&events), good_(good) {}
+
+    std::optional<event::Event> next() override {
+        if (pos_ == good_) throw std::runtime_error("source failed");
+        return (*events_)[pos_++];
+    }
+
+private:
+    const std::vector<event::Event>* events_;
+    std::size_t good_;
+    std::size_t pos_ = 0;
+};
+
+}  // namespace
+
+// A source failure mid-stream must close the store (so detection over the
+// prefix terminates instead of waiting on a frontier that never grows),
+// return, and rethrow the source's exception to the caller.
+TEST(StreamingSpectre, SourceFailureClosesStoreAndRethrows) {
+    TestEnv env;
+    auto q = query::QueryBuilder(env.schema)
+                 .single("A", env.is('A'))
+                 .single("B", env.is('B'))
+                 .window(query::WindowSpec::sliding_count(20, 5))
+                 .consume_all()
+                 .build();
+    const auto cq = detect::CompiledQuery::compile(q);
+    const auto events = random_events(env, 300, 91);
+    for (const int k : {1, 4}) {
+        event::EventStore store;
+        core::RuntimeConfig cfg;
+        cfg.splitter.instances = k;
+        core::SpectreRuntime rt(&store, &cq, cfg, make_markov(cq));
+        FailingStream source(events, 150);
+        EXPECT_THROW(rt.run(source), std::runtime_error) << "k=" << k;
+        EXPECT_TRUE(store.closed()) << "k=" << k;
+        EXPECT_EQ(store.size(), 150u) << "k=" << k;
+    }
 }
 
 TEST(StreamingSpectre, StreamingRunRequiresMutableStore) {
