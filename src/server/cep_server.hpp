@@ -29,6 +29,8 @@
 // from the engines' retirement order (§8) and is independent of pool size.
 #pragma once
 
+#include <sys/socket.h>
+
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -50,7 +52,11 @@ struct ServerConfig {
     // by the same reactor serving the Prometheus text exposition of the
     // metrics registry over minimal HTTP. 0 = ephemeral (see admin_port()).
     std::uint16_t admin_port = 0;
-    int backlog = 64;
+    // listen(2) queue length. SOMAXCONN (the kernel clamps it to
+    // net.core.somaxconn) lets a connect burst wait in the queue while the
+    // reactor works through accept+HELLO, instead of overflowing it and
+    // turning dropped SYNs into second-long client retransmits.
+    int backlog = SOMAXCONN;
     // Engine worker pool size (§9): sessions multiplex over this many
     // threads regardless of how many clients connect.
     int pool_workers = 4;

@@ -13,6 +13,8 @@ void ConsumptionGroup::add_event(event::Seq seq) {
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         events_.push_back(seq);
+        // Writers hold mutex_, so the read-compare-store cannot interleave.
+        if (seq > last_seq_.load()) last_seq_.store(seq);
     }
     // Release so a reader that sees the new version also sees the new event.
     version_.fetch_add(1, std::memory_order_release);

@@ -45,6 +45,11 @@ public:
     int delta() const noexcept { return delta_.load(std::memory_order_relaxed); }
     CgOutcome outcome() const noexcept { return outcome_.load(std::memory_order_acquire); }
 
+    // Highest sequence added so far (0 while empty). Once the group reads
+    // Completed its membership is frozen, so this is final: a window starting
+    // after it can never see the group suppress or invalidate anything.
+    event::Seq last_seq() const noexcept { return last_seq_.load(); }
+
     // Copies the current membership; `version_out` receives the version the
     // snapshot corresponds to.
     std::vector<event::Seq> snapshot(std::uint64_t& version_out) const;
@@ -59,6 +64,7 @@ private:
     std::atomic<int> delta_;
     std::atomic<std::uint64_t> version_{0};
     std::atomic<CgOutcome> outcome_{CgOutcome::Pending};
+    std::atomic<event::Seq> last_seq_{0};
     mutable std::mutex mutex_;
     std::vector<event::Seq> events_;  // guarded by mutex_
 };

@@ -42,11 +42,7 @@ void OperatorInstance::refresh_caches(WindowVersion& wv) {
         const auto& cg = wv.suppressed()[i];
         auto& cache = st.caches[i];
         if (cache.snapshot_version == cg->version()) continue;
-        std::uint64_t version = 0;
-        const auto events = cg->snapshot(version);
-        cache.events.clear();
-        cache.events.insert(events.begin(), events.end());
-        cache.snapshot_version = version;
+        cache.events = cg->snapshot(cache.snapshot_version);
         st.supp_dirty = true;
     }
 }
@@ -135,20 +131,20 @@ bool OperatorInstance::consistency_check(WindowVersion& wv) {
         auto& cache = st.caches[i];
         const std::uint64_t current = cg->version();
         if (current == cache.checked_version) continue;
-        std::uint64_t version = 0;
-        const auto events = cg->snapshot(version);
-        cache.events.clear();
-        cache.events.insert(events.begin(), events.end());
-        cache.snapshot_version = version;
-        st.supp_dirty = true;  // membership moved: the run index is stale
-        for (const auto seq : events) {
+        // The batch-start snapshot is reused when the group has not moved
+        // since; otherwise the membership moved and the run index is stale.
+        if (cache.snapshot_version != current) {
+            cache.events = cg->snapshot(cache.snapshot_version);
+            st.supp_dirty = true;
+        }
+        for (const auto seq : cache.events) {
             if (seq < wv.window().first || seq > wv.window().last) continue;
             if (st.used[seq - wv.window().first]) {
                 inconsistent = true;
                 break;
             }
         }
-        cache.checked_version = version;
+        cache.checked_version = cache.snapshot_version;
     }
     return inconsistent;
 }

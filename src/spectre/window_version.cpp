@@ -4,9 +4,25 @@
 
 namespace spectre::core {
 
+namespace {
+
+// Drops the groups that are Completed and end before `first`. Such a group is
+// frozen, and window starts are monotone (Splitter::discover_windows), so it
+// can neither suppress nor invalidate anything in this window or in any later
+// one built from this list. Pending groups stay: they can still grow.
+std::vector<CgPtr> prune_frozen(std::vector<CgPtr> suppressed, event::Seq first) {
+    std::erase_if(suppressed, [first](const CgPtr& cg) {
+        return cg->outcome() == CgOutcome::Completed && cg->last_seq() < first;
+    });
+    return suppressed;
+}
+
+}  // namespace
+
 WindowVersion::WindowVersion(std::uint64_t version_id, query::WindowInfo window,
                              const detect::CompiledQuery* cq, std::vector<CgPtr> suppressed)
-    : version_id_(version_id), window_(window), suppressed_(std::move(suppressed)),
+    : version_id_(version_id), window_(window),
+      suppressed_(prune_frozen(std::move(suppressed), window.first)),
       state_(std::make_unique<Processing>(cq)) {
     SPECTRE_REQUIRE(cq != nullptr, "WindowVersion needs a compiled query");
     state_->detector.begin_window(window_);

@@ -2,18 +2,20 @@
 //
 // A version is defined by its window plus the set of consumption groups it
 // assumes to complete (whose events it suppresses — the groups reached via
-// completion edges on its root path). Processing state (detector, position,
-// buffered complex events, the used-event set for consistency checks) lives
-// here; it is mutated only by the operator instance the version is currently
-// scheduled on. The splitter touches only the atomic flags (dropped /
-// finished / stats_enabled) and reads `progress` for the prediction model.
+// completion edges on its root path), less the completed groups that end
+// before the window: the constructor drops those, which bounds the list by
+// the window rather than the stream (DESIGN.md §4.1). Processing state
+// (detector, position, buffered complex events, the used-event set for
+// consistency checks) lives here; it is mutated only by the operator
+// instance the version is currently scheduled on. The splitter touches only
+// the atomic flags (dropped / finished / stats_enabled) and reads `progress`
+// for the prediction model.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "detect/detector.hpp"
@@ -127,7 +129,7 @@ struct WindowVersion::Processing {
     // version it corresponds to + the version covered by the last
     // consistency check (CG.lastCheckedVersion in Fig. 8).
     struct CgCache {
-        std::unordered_set<event::Seq> events;
+        std::vector<event::Seq> events;  // only ever iterated, never probed
         std::uint64_t snapshot_version = UINT64_MAX;
         std::uint64_t checked_version = 0;
     };

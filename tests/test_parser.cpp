@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "detect/compiled_query.hpp"
 #include "query/parser.hpp"
 #include "test_helpers.hpp"
 
@@ -224,4 +227,87 @@ TEST(Parser, SymbolInListAndNotEquals) {
     EXPECT_TRUE(eval_bool(q.pattern.elements[0].pred, ctx));
     e.subject = env.schema->lookup_subject("Z");
     EXPECT_FALSE(eval_bool(q.pattern.elements[0].pred, ctx));
+}
+
+// Deterministic mutation sweep over parse_query + CompiledQuery::compile, the
+// path every HELLO takes with client-supplied text. Seeded byte- and
+// token-level mutations of valid queries must each end in one of three ways:
+// a compiled query, a ParseError whose offset lies inside the text, or a
+// std::invalid_argument from the query's validation. An internal invariant
+// failure (std::logic_error), any other exception, or a crash (caught by the
+// sanitizer legs) is a parser bug.
+TEST(Parser, SeededMutationSweepOnlyAcceptsOrRejectsCleanly) {
+    const std::vector<std::string> corpus = {
+        "PATTERN (A B) DEFINE A AS TYPE = 'A', B AS TYPE = 'B' "
+        "WITHIN 100 EVENTS FROM EVERY 10 EVENTS CONSUME ALL",
+        "PATTERN (MLE RE1 RE2) DEFINE MLE AS SYMBOL IN ('AAPL','IBM') AND "
+        "MLE.close > MLE.open, RE1 AS RE1.close > RE1.open, RE2 AS RE2.close > RE2.open "
+        "WITHIN 8000 EVENTS FROM MLE CONSUME (MLE RE1 RE2)",
+        "PATTERN (A B+ C) DEFINE A AS v < 95, B AS v >= 95 AND v <= 105, C AS v > 105 "
+        "WITHIN 800 EVENTS FROM EVERY 100 EVENTS CONSUME (A B+ C)",
+        "PATTERN (A SET(X Y Z)) DEFINE A AS SYMBOL = 'A', X AS SYMBOL = 'X', "
+        "Y AS SYMBOL = 'Y', Z AS SYMBOL = 'Z' WITHIN 50 EVENTS FROM EVERY 5 EVENTS CONSUME ALL",
+        "PATTERN (A B) DEFINE A AS TYPE = 'A', B AS TYPE = 'B' WITHIN 60 TIME FROM A "
+        "SELECT FIRST STICKY (A) CONSUME (B) EMIT factor = B.v / A.v",
+        "PATTERN (A B) DEFINE A AS TYPE = 'A', B AS TYPE = 'B' GUARD B AS TYPE = 'C' "
+        "WITHIN 10 EVENTS FROM EVERY 5 EVENTS SELECT EACH",
+        "PATTERN (R1 R2 R3) DEFINE R1 AS R1.close > R1.open, R2 AS R2.close > R2.open, "
+        "R3 AS R3.close > R3.open WITHIN 24 EVENTS FROM EVERY 6 EVENTS "
+        "PARTITION BY SUBJECT CONSUME ALL EMIT gain = R3.close - R1.open",
+        "PATTERN (A) DEFINE A AS v + 2 * 3 = 7 AND NOT v > 100 OR SYMBOL != 'Z' "
+        "WITHIN 10 EVENTS FROM EVERY 5 EVENTS",
+    };
+    const std::vector<std::string> tokens = {
+        "PATTERN", "DEFINE", "GUARD", "WITHIN", "EVENTS", "TIME", "FROM", "EVERY",
+        "PARTITION BY", "SELECT", "EACH", "FIRST", "CONSUME", "ALL", "NONE", "EMIT",
+        "STICKY", "SET", "AS", "AND", "OR", "NOT", "IN", "SYMBOL", "TYPE", "(", ")",
+        ",", "+", "-", "*", "/", "=", "!=", "<=", ">", ".", "'", "'X'", "A", "B.v",
+        "0", "-1", "1e308", "99999999999999999999", "0.5", " ", "\n", "\t",
+    };
+    std::mt19937 rng(20261020);
+    const auto pick = [&](std::size_t n) { return n == 0 ? 0 : rng() % n; };
+
+    std::size_t accepted = 0, rejected = 0;
+    for (int iter = 0; iter < 20'000; ++iter) {
+        std::string text = corpus[pick(corpus.size())];
+        const int edits = 1 + static_cast<int>(rng() % 3);
+        for (int e = 0; e < edits; ++e) {
+            const std::size_t at = pick(text.size() + 1);
+            switch (rng() % 5) {
+                case 0:  // overwrite one byte with any byte value
+                    if (at < text.size()) text[at] = static_cast<char>(rng() % 256);
+                    break;
+                case 1:  // delete a short span
+                    text.erase(at, 1 + pick(8));
+                    break;
+                case 2:  // duplicate a short span
+                    text.insert(at, text.substr(at, 1 + pick(12)));
+                    break;
+                case 3:  // insert a grammar token
+                    text.insert(at, " " + tokens[pick(tokens.size())] + " ");
+                    break;
+                default:  // truncate
+                    text.resize(at);
+                    break;
+            }
+        }
+
+        const auto schema = std::make_shared<event::Schema>();
+        try {
+            const auto q = parse_query(text, schema);
+            (void)detect::CompiledQuery::compile(q);
+            ++accepted;
+        } catch (const ParseError& err) {
+            EXPECT_LE(err.position(), text.size()) << "iter=" << iter << " text=" << text;
+            ++rejected;
+        } catch (const std::invalid_argument&) {
+            ++rejected;
+        } catch (const std::exception& err) {
+            ADD_FAILURE() << "iter=" << iter << " text=" << text << " threw " << err.what();
+        }
+    }
+    // The sweep must exercise both sides: mutations that still compile, and
+    // mutations the front end turns away.
+    EXPECT_GT(accepted, 100u);
+    EXPECT_GT(rejected, 10'000u);
 }

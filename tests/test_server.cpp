@@ -207,6 +207,13 @@ TEST(CepServer, MalformedQueryGetsErrorFrame) {
     EXPECT_EQ(srv.stats().sessions_failed, 1u);
 }
 
+TEST(ServerConfig, ListenBacklogDefaultsToSomaxconn) {
+    EXPECT_EQ(server::ServerConfig{}.backlog, SOMAXCONN);
+    EXPECT_EQ(server::ServerConfigBuilder{}.build().backlog, SOMAXCONN);
+    EXPECT_EQ(server::ServerConfigBuilder{}.backlog(16).build().backlog, 16);
+    EXPECT_THROW(server::ServerConfigBuilder{}.backlog(0).build(), std::invalid_argument);
+}
+
 TEST(CepServer, InstancesBeyondServerLimitRejected) {
     const server::ServerConfig cfg =
         server::ServerConfigBuilder{}.max_instances(2).build();

@@ -4,8 +4,10 @@
 // same (window) order; no false positives, no false negatives (§2.3).
 #include <gtest/gtest.h>
 
+#include "data/nyse_synth.hpp"
 #include "model/fixed_model.hpp"
 #include "model/markov_model.hpp"
+#include "queries/paper_queries.hpp"
 #include "spectre/runtime.hpp"
 #include "spectre/sim_runtime.hpp"
 #include "sequential/seq_engine.hpp"
@@ -333,6 +335,59 @@ TEST(SpectreThreaded, RepeatedRunsAreStable) {
         core::SpectreRuntime rt(&store, &cq, cfg, make_markov(cq));
         expect_same_output(expected.complex_events, rt.run().output,
                            "rep=" + std::to_string(rep));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Long streams: Q1's windows chain without a break, so the whole stream is one
+// dependency tree. Only a long run builds the deep chains whose versions'
+// suppression lists must be pruned as the windows move on (DESIGN.md §4.1).
+// ---------------------------------------------------------------------------
+
+TEST(SpectreLongStream, Q1ChainMatchesSequentialSteppedAndBatch) {
+    const auto vocab = data::StockVocab::create(std::make_shared<event::Schema>());
+    queries::Q1Params params;
+    params.q = 8;
+    params.ws = 800;
+    const auto cq = detect::CompiledQuery::compile(queries::make_q1(vocab, params));
+
+    data::NyseSynthConfig synth;
+    synth.events = 12'000;
+    synth.symbols = 200;
+    synth.up_prob = 0.55;
+    synth.seed = 1;
+    const auto events = data::generate_nyse(vocab, synth);
+    event::EventStore batch;
+    for (const auto& e : events) batch.append(e);
+    const auto expected = sequential::SequentialEngine(&cq).run(batch).complex_events;
+    ASSERT_GT(expected.size(), 100u) << "the stream must complete many Q1 matches";
+
+    for (const int k : {1, 3}) {
+        core::RuntimeConfig cfg;
+        cfg.splitter.instances = k;
+        const auto label = "k=" + std::to_string(k);
+
+        // Stepped to quiescence after every arrival, as a server session is.
+        event::EventStore live;
+        core::SpectreRuntime stepped(&live, &cq, cfg, make_markov(cq));
+        std::vector<event::ComplexEvent> out;
+        stepped.set_result_sink(
+            [&](event::ComplexEvent&& ce) { out.push_back(std::move(ce)); });
+        for (const auto& e : events) {
+            live.append(e);
+            while (true) {
+                const auto p = stepped.step();
+                ASSERT_FALSE(p.done) << label << ": done before end-of-stream";
+                if (p.quiescent && p.events_processed == 0) break;
+            }
+        }
+        live.close();
+        while (!stepped.step().done) {
+        }
+        expect_same_output(expected, out, label + " stepped");
+
+        core::SpectreRuntime whole(&batch, &cq, cfg, make_markov(cq));
+        expect_same_output(expected, whole.run().output, label + " run()");
     }
 }
 

@@ -298,3 +298,67 @@ TEST(DependencyTreeTest, WindowsOutOfOrderRejected) {
     f.tree.open_window(f.win(1, 4, 7));
     EXPECT_THROW(f.tree.open_window(f.win(0, 0, 3)), std::invalid_argument);
 }
+
+// --- bounded suppression lists ----------------------------------------------
+
+TEST(ConsumptionGroupTest, LastSeqIsTheMaximumAfterOutOfOrderAdds) {
+    ConsumptionGroup cg(1, 0, 1, 0);
+    EXPECT_EQ(cg.last_seq(), 0u);
+    cg.add_event(10);
+    EXPECT_EQ(cg.last_seq(), 10u);
+    cg.add_event(5);
+    EXPECT_EQ(cg.last_seq(), 10u);
+    cg.add_event(17);
+    cg.add_event(12);
+    EXPECT_EQ(cg.last_seq(), 17u);
+}
+
+TEST(WindowVersionTest, ConstructorDropsOnlyCompletedGroupsEndingBeforeTheWindow) {
+    TreeFixture f;
+    const auto make = [](std::uint64_t id, std::vector<event::Seq> events, bool completed) {
+        auto cg = std::make_shared<ConsumptionGroup>(id, 0, 1, 0);
+        for (const auto s : events) cg->add_event(s);
+        if (completed) cg->resolve(CgOutcome::Completed);
+        return cg;
+    };
+    const auto done_before = make(1, {3, 9, 5}, true);     // wholly before: dropped
+    const auto pending_before = make(2, {4, 6}, false);    // may still grow: kept
+    const auto done_reaching = make(3, {7, 10}, true);     // ends at first: kept
+    const auto done_inside = make(4, {12, 15}, true);      // inside: kept
+    WindowVersion wv(1, f.win(5, 10, 20), &f.cq,
+                     {done_before, pending_before, done_reaching, done_inside});
+    ASSERT_EQ(wv.suppressed().size(), 3u);
+    EXPECT_EQ(wv.suppressed()[0]->id(), 2u);
+    EXPECT_EQ(wv.suppressed()[1]->id(), 3u);
+    EXPECT_EQ(wv.suppressed()[2]->id(), 4u);
+    // The processing caches stay parallel to the pruned list.
+    EXPECT_EQ(wv.processing().caches.size(), 3u);
+}
+
+TEST(DependencyTreeTest, LongChainKeepsLeafSuppressionBounded) {
+    // 200 overlapping windows [2i, 2i+3] chain into one tree; each window's
+    // version completes one group {2i+1, 2i+2} that reaches into the next
+    // window only. Each new leaf must keep just the groups reaching into its
+    // own window: inheriting every group completed since the tree's root
+    // would grow the list linearly, to 199 at the last window.
+    TreeFixture f;
+    constexpr std::uint64_t kWindows = 200;
+    for (std::uint64_t i = 0; i < kWindows; ++i) {
+        f.tree.open_window(f.win(i, 2 * i, 2 * i + 3));
+        const auto all = f.tree.top_k(f.tree.live_versions(), half);
+        ASSERT_EQ(all.size(), i + 1);
+        const WvPtr leaf = all.back();
+        ASSERT_EQ(leaf->window().id, i);
+        ASSERT_EQ(leaf->suppressed().size(), i == 0 ? 0u : 1u) << "window " << i;
+        if (i > 0) {
+            EXPECT_EQ(leaf->suppressed()[0]->id(), 1000 + i - 1);
+        }
+
+        const auto cg = f.group(1000 + i, leaf, {2 * i + 1, 2 * i + 2});
+        ASSERT_TRUE(f.tree.on_group_created(cg));
+        cg->resolve(CgOutcome::Completed);
+        f.tree.on_group_resolved(cg, true);
+    }
+    f.tree.check_invariants();
+    EXPECT_EQ(f.tree.live_versions(), kWindows);
+}
